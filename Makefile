@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-all test-fast test-faults test-store test-blockstm test-distributed test-scenarios serve-demo telemetry-smoke check check-fuzz check-fuzz-blockstm lint typecheck coverage bench bench-json bench-hotpath bench-strategies bench-distributed bench-scenarios bench-compare trace-demo examples clean
+.PHONY: install test test-all test-fast test-faults test-store test-blockstm test-distributed test-scenarios serve-demo telemetry-smoke check check-fuzz check-fuzz-blockstm lint typecheck coverage bench bench-json bench-hotpath bench-strategies bench-distributed bench-scenarios bench-compare perfbench-test trace-demo examples clean
 
 install:
 	pip install -e . --no-build-isolation 2>/dev/null || $(PYTHON) setup.py develop
@@ -131,6 +131,12 @@ bench-compare:
 		--old-dir benchmarks/results --new-dir benchmarks/results/.fresh \
 		--names fig6_proposer fig7a_scalability fig9_multiblock hotpath obs_live \
 		scenarios
+
+# the wall-clock benchmark's own tests: output contract, smoke runs of
+# every workload, and the correctness gate's tamper runs (a wrong state
+# root, a rolled-back store) that must fail the run
+perfbench-test:
+	PYTHONPATH=src $(PYTHON) -m pytest perfbench/tests -q
 
 trace-demo:
 	$(PYTHON) -m repro --txs-per-block 60 trace --mode round --rounds 2 \

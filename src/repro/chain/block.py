@@ -128,17 +128,16 @@ class BlockProfile:
 
 def transactions_root(transactions: Sequence[Transaction]) -> Hash32:
     """Trie root over the block's transactions, keyed by index (yellow paper)."""
-    trie = MPT()
-    for index, tx in enumerate(transactions):
-        trie = trie.set(rlp_encode(index), bytes(tx.hash))
-    return trie.root_hash()
+    return MPT.from_items(
+        (rlp_encode(index), bytes(tx.hash)) for index, tx in enumerate(transactions)
+    ).root_hash()
 
 
 def receipts_root(receipts: Sequence[Receipt]) -> Hash32:
-    trie = MPT()
-    for index, receipt in enumerate(receipts):
-        trie = trie.set(rlp_encode(index), receipt.encode())
-    return trie.root_hash()
+    """Trie root over the block's receipt encodings, keyed by index."""
+    return MPT.from_items(
+        (rlp_encode(index), receipt.encode()) for index, receipt in enumerate(receipts)
+    ).root_hash()
 
 
 @dataclass(frozen=True)
@@ -166,11 +165,21 @@ class Block:
     def __len__(self) -> int:
         return len(self.transactions)
 
+    @cached_property
+    def receipts_match_root(self) -> bool:
+        """Whether ``receipts`` hash to the header's receipts root.
+
+        Computed once per block object: the structure check and the
+        validator's final receipt check (``Applier.verify_block``) both
+        read it, so a validated block builds its receipt trie once.
+        """
+        return receipts_root(self.receipts) == self.header.receipts_root
+
     def validate_structure(self) -> None:
         """Internal consistency: tx root, receipt root, profile alignment."""
         if transactions_root(self.transactions) != self.header.transactions_root:
             raise ValueError("transactions root mismatch")
-        if self.receipts and receipts_root(self.receipts) != self.header.receipts_root:
+        if self.receipts and not self.receipts_match_root:
             raise ValueError("receipts root mismatch")
         if self.profile is not None and len(self.profile) != len(self.transactions):
             raise ValueError("profile entry count mismatch")

@@ -22,7 +22,7 @@ from typing import Union
 
 RLPItem = Union[bytes, int, str, list, tuple]
 
-__all__ = ["rlp_encode", "rlp_decode", "RLPDecodeError"]
+__all__ = ["rlp_encode", "rlp_encode_string", "rlp_wrap_list", "rlp_decode", "RLPDecodeError"]
 
 
 class RLPDecodeError(ValueError):
@@ -44,13 +44,26 @@ def _encode_length(length: int, offset: int) -> bytes:
     return bytes([offset + 55 + len(raw)]) + raw
 
 
+def rlp_encode_string(data: bytes) -> bytes:
+    """RLP of one byte string (``rlp_encode`` without the type dispatch)."""
+    if len(data) == 1 and data[0] < 0x80:
+        return data
+    return _encode_length(len(data), 0x80) + data
+
+
+def rlp_wrap_list(payload: bytes) -> bytes:
+    """RLP of a list whose items' encodings concatenate to ``payload``.
+
+    Lets a caller that already holds its items' encodings (trie nodes
+    hold their children's) frame the list without re-encoding them.
+    """
+    return _encode_length(len(payload), 0xC0) + payload
+
+
 def rlp_encode(item: RLPItem) -> bytes:
     """Encode bytes / int / str / nested lists into canonical RLP."""
     if isinstance(item, (bytes, bytearray)):
-        data = bytes(item)
-        if len(data) == 1 and data[0] < 0x80:
-            return data
-        return _encode_length(len(data), 0x80) + data
+        return rlp_encode_string(bytes(item))
     if isinstance(item, bool):
         raise TypeError("RLP does not define a boolean encoding")
     if isinstance(item, int):
@@ -58,8 +71,7 @@ def rlp_encode(item: RLPItem) -> bytes:
     if isinstance(item, str):
         return rlp_encode(item.encode("utf-8"))
     if isinstance(item, (list, tuple)):
-        body = b"".join(rlp_encode(sub) for sub in item)
-        return _encode_length(len(body), 0xC0) + body
+        return rlp_wrap_list(b"".join(rlp_encode(sub) for sub in item))
     raise TypeError(f"cannot RLP-encode {type(item).__name__}")
 
 

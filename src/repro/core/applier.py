@@ -134,8 +134,27 @@ class Applier:
                 f"header {block.header.gas_used}",
                 FailureReason.RECEIPT_MISMATCH,
             )
-        if receipts_root(computed_receipts) != block.header.receipts_root:
+        if not _receipts_match(block, computed_receipts):
             return failed("receipts root mismatch", FailureReason.RECEIPT_MISMATCH)
         if computed_state.state_root() != block.header.state_root:
             return failed("state root mismatch", FailureReason.STATE_ROOT_MISMATCH)
         return ValidationOutcome(True)
+
+
+def _receipts_match(block: Block, computed: Sequence[Receipt]) -> bool:
+    """Do the recomputed receipts hash to the header's receipts root?
+
+    When the block's own receipts already hash to that root (proved, and
+    cached on the block, by :meth:`Block.validate_structure`), comparing
+    encodings one by one answers the same question without building a
+    third receipt trie.  Receipts with equal fields encode equally, so
+    field equality settles the honest case without encoding either side.
+    Otherwise the root is recomputed.
+    """
+    published = block.receipts
+    if published and block.receipts_match_root:
+        return len(published) == len(computed) and all(
+            mine == theirs or mine.encode() == theirs.encode()
+            for mine, theirs in zip(computed, published)
+        )
+    return receipts_root(computed) == block.header.receipts_root

@@ -22,6 +22,7 @@ from repro.state.trie import (
     EMPTY_ROOT,
     MPT,
     SecureMPT,
+    _node_ref,
     _node_rlp,
     bytes_to_nibbles,
 )
@@ -82,8 +83,9 @@ def prove(trie: MPT, key: bytes) -> List[bytes]:
             if child is None:
                 break  # exclusion: no child on the path
             path = path[1:]
-        # children with short RLP are embedded in the parent encoding
-        append_next = len(_node_rlp(child)) >= 32
+        # children with short RLP are embedded in the parent encoding; a
+        # hashed ref is 33 bytes, an inline one at most 31
+        append_next = len(_node_ref(child)) == 33
         node = child
     return proof
 

@@ -10,47 +10,61 @@ Design choices:
   return a new root and copy only the path they touch, so snapshotting a
   trie is free — which is what lets the chain layer keep the state of every
   block (including fork siblings) alive simultaneously.
-* **Yellow-paper encoding.**  Leaf/extension paths use hex-prefix (HP)
-  encoding; node references embed the RLP of nodes shorter than 32 bytes
-  and the Keccak hash otherwise; the root hash is always the hash of the
-  root node's RLP.  Hashes are cached per node and never recomputed thanks
-  to immutability.
+* **Yellow-paper encoding, hashed once per node.**  Leaf/extension paths
+  use hex-prefix (HP) encoding.  Each node caches one thing, its *ref*:
+  the bytes it contributes inside its parent's RLP list — ``0xa0 ‖
+  keccak(rlp)`` when its RLP is 32 bytes or longer, else the RLP itself
+  (inlined).  A node is immutable, so its ref is computed the first time
+  an ancestor (or :meth:`MPT.root_hash`) needs it and never again; a
+  parent's RLP is a list prefix over its children's refs joined as bytes,
+  so encoding a new node touches only that node.
+* **Bulk build.**  :meth:`MPT.from_items` builds a trie from a whole key
+  set in one sorted, bottom-up pass (genesis state, snapshot restore,
+  transaction and receipt roots); it yields the same nodes, and so the
+  same root, as inserting the keys one by one.
 * **byte-string keys and values.**  Callers hash/serialise their own keys
   (see :class:`SecureMPT` for the keccak-keyed variant used by the state).
+  Internally a nibble path is a ``bytes`` object with one nibble (0-15)
+  per byte, so slicing and comparing paths are C-level operations.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Tuple, Union
+import hashlib
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.common.hashing import keccak
-from repro.common.rlp import rlp_encode
+from repro.common.rlp import rlp_encode, rlp_encode_string, rlp_wrap_list
 from repro.common.types import Hash32
 from repro.state.cache import keccak_cached
 
 __all__ = ["MPT", "SecureMPT", "EMPTY_ROOT"]
 
-Nibbles = Tuple[int, ...]
+#: One nibble (0-15) per byte.
+Nibbles = bytes
+
+_HEX_TO_NIBBLE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+_NIBBLE_TO_HEX = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
+#: ``_NIBBLE[i]`` is the one-nibble path ``i``.
+_NIBBLE = tuple(bytes((i,)) for i in range(16))
 
 
 def bytes_to_nibbles(key: bytes) -> Nibbles:
-    out = []
-    for b in key:
-        out.append(b >> 4)
-        out.append(b & 0x0F)
-    return tuple(out)
+    return key.hex().encode("ascii").translate(_HEX_TO_NIBBLE)
+
+
+def nibbles_to_bytes(path: Nibbles) -> bytes:
+    """Inverse of :func:`bytes_to_nibbles` (``path`` has even length)."""
+    return bytes.fromhex(path.translate(_NIBBLE_TO_HEX).decode("ascii"))
 
 
 def hp_encode(path: Nibbles, is_leaf: bool) -> bytes:
     """Hex-prefix encode a nibble path with the leaf/extension flag."""
-    flag = 2 if is_leaf else 0
-    if len(path) % 2 == 1:
-        nibbles = (flag + 1,) + path
+    if len(path) % 2:
+        prefix = "3" if is_leaf else "1"
     else:
-        nibbles = (flag, 0) + path
-    return bytes(
-        (nibbles[i] << 4) | nibbles[i + 1] for i in range(0, len(nibbles), 2)
-    )
+        prefix = "20" if is_leaf else "00"
+    return bytes.fromhex(prefix + path.translate(_NIBBLE_TO_HEX).decode("ascii"))
 
 
 def _common_prefix_len(a: Nibbles, b: Nibbles) -> int:
@@ -62,32 +76,32 @@ def _common_prefix_len(a: Nibbles, b: Nibbles) -> int:
 
 
 class _Leaf:
-    __slots__ = ("path", "value", "_enc")
+    __slots__ = ("path", "value", "_ref")
 
     def __init__(self, path: Nibbles, value: bytes) -> None:
         self.path = path
         self.value = value
-        self._enc: Optional[bytes] = None
+        self._ref: Optional[bytes] = None
 
 
 class _Extension:
-    __slots__ = ("path", "child", "_enc")
+    __slots__ = ("path", "child", "_ref")
 
     def __init__(self, path: Nibbles, child: "_Node") -> None:
         self.path = path
         self.child = child
-        self._enc: Optional[bytes] = None
+        self._ref: Optional[bytes] = None
 
 
 class _Branch:
-    __slots__ = ("children", "value", "_enc")
+    __slots__ = ("children", "value", "_ref")
 
     def __init__(
         self, children: Tuple[Optional["_Node"], ...], value: Optional[bytes]
     ) -> None:
         self.children = children
         self.value = value
-        self._enc: Optional[bytes] = None
+        self._ref: Optional[bytes] = None
 
 
 _Node = Union[_Leaf, _Extension, _Branch]
@@ -97,52 +111,71 @@ _EMPTY_CHILDREN: Tuple[Optional[_Node], ...] = (None,) * 16
 #: Root hash of the empty trie: hash of the RLP of the empty byte string.
 EMPTY_ROOT = keccak(rlp_encode(b""))
 
+#: RLP of the empty string: an empty branch slot or an absent branch value.
+_RLP_EMPTY = b"\x80"
+#: RLP prefix of a 32-byte string: a hashed child reference is this + hash.
+_RLP_HASH_PREFIX = b"\xa0"
+
 
 def _node_rlp(node: _Node) -> bytes:
-    """Canonical RLP of a node (cached; nodes are immutable)."""
-    enc = node._enc
-    if enc is not None:
-        return enc
-    if isinstance(node, _Leaf):
-        enc = rlp_encode([hp_encode(node.path, True), node.value])
-    elif isinstance(node, _Extension):
-        enc = rlp_encode([hp_encode(node.path, False), _node_ref(node.child)])
-    else:  # branch
-        items: list = [
-            (b"" if c is None else _node_ref(c)) for c in node.children
-        ]
-        items.append(node.value if node.value is not None else b"")
-        enc = rlp_encode(items)
-    node._enc = enc
-    return enc
+    """Canonical RLP of a node, built from its children's cached refs.
 
-
-def _node_ref(node: _Node):
-    """Reference used inside a parent: inline structure if RLP < 32 bytes,
-    otherwise the 32-byte hash.  To keep things simple (and still
-    canonical) we inline the *encoded* RLP via a raw-passthrough trick:
-    since ``rlp_encode`` would re-encode a list, we return the hash when
-    long, else the decoded structural form is unnecessary — we embed the
-    already-encoded bytes by returning a special marker handled in
-    ``rlp_encode``.  Instead of complicating the encoder, we conservatively
-    return the hash whenever the RLP is 32 bytes or longer, and for shorter
-    nodes we return their *structural list*, rebuilt cheaply below.
+    Not cached itself: only :func:`_node_ref` keeps a result per node.
     """
-    enc = _node_rlp(node)
-    if len(enc) >= 32:
-        return keccak(enc)
-    return _node_struct(node)
-
-
-def _node_struct(node: _Node):
-    """Structural (list) form of a node for inline embedding."""
+    if isinstance(node, _Branch):
+        value = node.value
+        return rlp_wrap_list(
+            b"".join([_RLP_EMPTY if c is None else (c._ref or _node_ref(c)) for c in node.children])
+            + (_RLP_EMPTY if value is None else rlp_encode_string(value))
+        )
     if isinstance(node, _Leaf):
-        return [hp_encode(node.path, True), node.value]
-    if isinstance(node, _Extension):
-        return [hp_encode(node.path, False), _node_ref(node.child)]
-    items: list = [(b"" if c is None else _node_ref(c)) for c in node.children]
-    items.append(node.value if node.value is not None else b"")
-    return items
+        return rlp_wrap_list(rlp_encode_string(hp_encode(node.path, True)) + rlp_encode_string(node.value))
+    child = node.child
+    return rlp_wrap_list(rlp_encode_string(hp_encode(node.path, False)) + (child._ref or _node_ref(child)))
+
+
+def _node_ref(node: _Node) -> bytes:
+    """The bytes ``node`` contributes inside its parent's RLP list.
+
+    ``0xa0 ‖ keccak(rlp)`` (the RLP of the 32-byte hash) when the node's
+    RLP is 32 bytes or longer, otherwise the RLP itself, embedded inline.
+    Computed once and cached in ``node._ref``; a hashed ref is 33 bytes
+    and an inline one at most 31, so the length tells them apart.
+    """
+    ref = node._ref
+    if ref is None:
+        enc = _node_rlp(node)
+        # keccak() without its Hash32 wrapper: the digest is only concatenated
+        ref = _RLP_HASH_PREFIX + hashlib.sha3_256(enc).digest() if len(enc) >= 32 else enc
+        node._ref = ref
+    return ref
+
+
+def _build(entries: List[Tuple[Nibbles, bytes]], lo: int, hi: int, depth: int) -> _Node:
+    """Node for the sorted, distinct ``entries[lo:hi]``, which share their
+    first ``depth`` nibbles."""
+    path, value = entries[lo]
+    if hi - lo == 1:
+        return _Leaf(path[depth:], value)
+    # sorted: the first and last paths' common prefix is everyone's
+    common = depth + _common_prefix_len(path[depth:], entries[hi - 1][0][depth:])
+    branch_value: Optional[bytes] = None
+    if len(path) == common:  # a key that ends here sorts first
+        branch_value = value
+        lo += 1
+    children: List[Optional[_Node]] = list(_EMPTY_CHILDREN)
+    start = lo
+    while start < hi:
+        nibble = entries[start][0][common]
+        end = start + 1
+        while end < hi and entries[end][0][common] == nibble:
+            end += 1
+        children[nibble] = _build(entries, start, end, common + 1)
+        start = end
+    branch = _Branch(tuple(children), branch_value)
+    if common > depth:
+        return _Extension(path[depth:common], branch)
+    return branch
 
 
 def _get(node: Optional[_Node], path: Nibbles) -> Optional[bytes]:
@@ -228,7 +261,7 @@ def _normalize_branch(node: _Branch) -> Optional[_Node]:
     if node.value is not None:
         if live:
             return node
-        return _Leaf((), node.value)
+        return _Leaf(b"", node.value)
     if len(live) > 1:
         return node
     if not live:
@@ -236,10 +269,10 @@ def _normalize_branch(node: _Branch) -> Optional[_Node]:
     idx, child = live[0]
     # merge the branch slot nibble into the surviving child
     if isinstance(child, _Leaf):
-        return _Leaf((idx,) + child.path, child.value)
+        return _Leaf(_NIBBLE[idx] + child.path, child.value)
     if isinstance(child, _Extension):
-        return _Extension((idx,) + child.path, child.child)
-    return _Extension((idx,), child)
+        return _Extension(_NIBBLE[idx] + child.path, child.child)
+    return _Extension(_NIBBLE[idx], child)
 
 
 def _delete(node: Optional[_Node], path: Nibbles) -> Optional[_Node]:
@@ -289,7 +322,7 @@ def _iter_items(node: Optional[_Node], prefix: Nibbles) -> Iterator[tuple[Nibble
         yield prefix, node.value
     for i, child in enumerate(node.children):
         if child is not None:
-            yield from _iter_items(child, prefix + (i,))
+            yield from _iter_items(child, prefix + _NIBBLE[i])
 
 
 class MPT:
@@ -304,6 +337,21 @@ class MPT:
 
     def __init__(self, _root: Optional[_Node] = None) -> None:
         self._root = _root
+
+    @classmethod
+    def from_items(cls, items: Iterable[Tuple[bytes, bytes]]) -> "MPT":
+        """Bulk-build a trie from ``(key, value)`` pairs in one pass.
+
+        Same trie as applying :meth:`set` to each pair in order on an
+        empty trie (a later pair for a key wins; ``b""`` values are
+        absent), built bottom-up from the sorted keys by grouping them on
+        the nibble at each depth, so no intermediate trie is made.
+        """
+        latest = {bytes_to_nibbles(key): value for key, value in items}
+        entries = sorted((path, value) for path, value in latest.items() if value)
+        if not entries:
+            return cls()
+        return cls(_build(entries, 0, len(entries), 0))
 
     def get(self, key: bytes) -> Optional[bytes]:
         return _get(self._root, bytes_to_nibbles(key))
@@ -322,7 +370,10 @@ class MPT:
     def root_hash(self) -> Hash32:
         if self._root is None:
             return EMPTY_ROOT
-        return keccak(_node_rlp(self._root))
+        ref = _node_ref(self._root)
+        if len(ref) == 33:  # hashed: 0xa0 ‖ keccak(rlp)
+            return Hash32(ref[1:])
+        return keccak(ref)
 
     def items(self) -> Iterator[tuple[bytes, bytes]]:
         """Iterate ``(key, value)`` pairs in lexicographic key order.
@@ -330,14 +381,11 @@ class MPT:
         Only keys with an even nibble count (i.e. whole bytes) are
         representable; all keys inserted through :meth:`set` qualify.
         """
-        for nibbles, value in _iter_items(self._root, ()):
-            key = bytes(
-                (nibbles[i] << 4) | nibbles[i + 1] for i in range(0, len(nibbles), 2)
-            )
-            yield key, value
+        for nibbles, value in _iter_items(self._root, b""):
+            yield nibbles_to_bytes(nibbles), value
 
     def __len__(self) -> int:
-        return sum(1 for _ in _iter_items(self._root, ()))
+        return sum(1 for _ in _iter_items(self._root, b""))
 
     def is_empty(self) -> bool:
         return self._root is None
@@ -361,6 +409,11 @@ class SecureMPT:
 
     def __init__(self, _trie: Optional[MPT] = None) -> None:
         self._trie = _trie if _trie is not None else MPT()
+
+    @classmethod
+    def from_items(cls, items: Iterable[Tuple[bytes, bytes]]) -> "SecureMPT":
+        """Bulk-build a secure trie (see :meth:`MPT.from_items`)."""
+        return cls(MPT.from_items((keccak_cached(key), value) for key, value in items))
 
     def get(self, key: bytes) -> Optional[bytes]:
         return self._trie.get(keccak_cached(key))

@@ -132,11 +132,20 @@ class BlockLog:
         assert self._fh is not None
         return self._fh.seek(0, os.SEEK_END)
 
-    def append(self, block: Block, *, tear_after: Optional[int] = None) -> int:
+    def append(
+        self,
+        block: Block,
+        *,
+        payload: Optional[bytes] = None,
+        tear_after: Optional[int] = None,
+    ) -> int:
         """Append one block; returns the offset the record starts at.
 
         The record is flushed and (by default) fsynced before returning,
         so a successful ``append`` means the block is durable.
+        ``payload`` is ``encode_block(block)`` when the caller already
+        holds it (the store's write path encodes once, round-trip checks
+        those bytes, and appends exactly them).
 
         ``tear_after`` is the fault-injection hook: write only the first
         ``tear_after`` bytes of the record, make *that* durable, and
@@ -146,7 +155,8 @@ class BlockLog:
         assert self._fh is not None
         metrics = self.metrics
         started = time.perf_counter() if metrics is not None else 0.0
-        payload = encode_block(block)
+        if payload is None:
+            payload = encode_block(block)
         record = RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
         offset = self._fh.seek(0, os.SEEK_END)
         if tear_after is not None:

@@ -268,18 +268,20 @@ def chain_digest(blocks: Sequence[Block], *, skip: int = 0) -> str:
     return digest.hexdigest()
 
 
-def verify_roundtrip(block: Block) -> Optional[str]:
+def verify_roundtrip(block: Block, payload: Optional[bytes] = None) -> Optional[str]:
     """Append-time self-check: does the block survive the codec?
 
     :meth:`DiskStore.on_block` runs this before every append (disable
     with ``DiskStore(verify_writes=False)``) and refuses to persist a
-    block that fails it.  Returns ``None`` when encode→decode reproduces
-    the header hash, every transaction hash and the receipt encodings;
-    otherwise a human-readable description of the first divergence.
+    block that fails it.  ``payload`` is the block's encoding when the
+    caller already holds it (default: encode here).  Returns ``None``
+    when decoding it reproduces the header hash, every transaction hash
+    and the receipt encodings; otherwise a human-readable description of
+    the first divergence.
     Cheap insurance that a block with an unserialisable quirk fails
     loudly at *append* time, not at recovery time.
     """
-    decoded = decode_block(encode_block(block))
+    decoded = decode_block(encode_block(block) if payload is None else payload)
     if decoded.header.hash != block.header.hash:
         return "header hash changed across encode/decode"
     if len(decoded.transactions) != len(block.transactions):

@@ -169,6 +169,57 @@ class TestRejection:
         assert res.accepted
 
 
+class TestReceiptsCheck:
+    """The validator builds the receipt trie once (in the structure check)
+    and the final check compares receipt encodings, with unchanged verdicts
+    and reasons."""
+
+    def test_receipts_disagreeing_with_header_root_rejected(self, sealed, small_universe):
+        from repro.common.types import Hash32
+
+        bad = tamper(sealed.block, receipts_root=Hash32(b"\x02" * 32))
+        res = ParallelValidator().validate_block(bad, small_universe.genesis)
+        assert not res.accepted
+        assert res.reason == "structure: receipts root mismatch"
+        # a caller that skips the structure check still gets the root check
+        outcome = Applier().verify_block(
+            bad, sealed.post_state, bad.receipts, bad.header.gas_used
+        )
+        assert not outcome.accepted
+        assert outcome.reason == "receipts root mismatch"
+        assert outcome.failure.reason is FailureReason.RECEIPT_MISMATCH
+
+    def test_recomputed_receipts_differing_from_block_rejected(self, sealed):
+        block = sealed.block
+        block.validate_structure()
+        first = block.receipts[0]
+        computed = (dataclasses.replace(first, gas_used=first.gas_used + 1),) + block.receipts[1:]
+        for receipts in (computed, block.receipts[:-1]):
+            outcome = Applier().verify_block(
+                block, sealed.post_state, receipts, block.header.gas_used
+            )
+            assert not outcome.accepted
+            assert outcome.reason == "receipts root mismatch"
+            assert outcome.failure.reason is FailureReason.RECEIPT_MISMATCH
+
+    def test_validated_block_builds_one_receipt_trie(self, sealed, small_universe, monkeypatch):
+        from repro.chain import block as block_module
+        from repro.core import applier as applier_module
+
+        calls = []
+        original = block_module.receipts_root
+
+        def counting(receipts):
+            calls.append(len(receipts))
+            return original(receipts)
+
+        monkeypatch.setattr(block_module, "receipts_root", counting)
+        monkeypatch.setattr(applier_module, "receipts_root", counting)
+        res = ParallelValidator().validate_block(sealed.block, small_universe.genesis)
+        assert res.accepted
+        assert len(calls) == 1
+
+
 class TestAdversarialProfileMatrix:
     """Every corruption kind maps to exactly one typed FailureReason.
 

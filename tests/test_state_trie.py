@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.hashing import keccak
+from repro.common.rlp import rlp_encode
+from repro.common.types import Address
+from repro.state.account import AccountData, encode_account
 from repro.state.proofs import (
     ProofError,
     prove,
@@ -14,7 +17,51 @@ from repro.state.proofs import (
     verify_proof,
     verify_secure,
 )
-from repro.state.trie import EMPTY_ROOT, MPT, SecureMPT
+from repro.state.statedb import genesis_snapshot
+from repro.state.trie import EMPTY_ROOT, MPT, SecureMPT, _Extension, _Leaf
+from repro.workload import build_universe
+
+# --------------------------------------------------------------------------- #
+# Reference encoder: nodes rebuilt as nested lists for the generic recursive
+# ``rlp_encode``, children re-encoded and re-hashed at every level, nibbles
+# packed one at a time.  Slow, but it is the yellow-paper definition
+# spelled out, so every root the cached-ref encoder produces must match it.
+# --------------------------------------------------------------------------- #
+
+
+def _oracle_hp(path, is_leaf):
+    flag = 2 if is_leaf else 0
+    nibbles = tuple(path)
+    nibbles = (flag + 1,) + nibbles if len(nibbles) % 2 else (flag, 0) + nibbles
+    return bytes((nibbles[i] << 4) | nibbles[i + 1] for i in range(0, len(nibbles), 2))
+
+
+def _oracle_struct(node):
+    if isinstance(node, _Leaf):
+        return [_oracle_hp(node.path, True), node.value]
+    if isinstance(node, _Extension):
+        return [_oracle_hp(node.path, False), _oracle_ref(node.child)]
+    items = [b"" if c is None else _oracle_ref(c) for c in node.children]
+    items.append(node.value if node.value is not None else b"")
+    return items
+
+
+def _oracle_ref(node):
+    enc = rlp_encode(_oracle_struct(node))
+    return keccak(enc) if len(enc) >= 32 else _oracle_struct(node)
+
+
+def oracle_root(trie: MPT):
+    if trie._root is None:
+        return EMPTY_ROOT
+    return keccak(rlp_encode(_oracle_struct(trie._root)))
+
+
+def incremental(mapping) -> MPT:
+    trie = MPT()
+    for key, value in mapping.items():
+        trie = trie.set(key, value)
+    return trie
 
 
 class TestBasicSemantics:
@@ -335,3 +382,112 @@ class TestSecureMPT:
         for k in reversed(keys):
             t2 = t2.set(k, b"v")
         assert t1.root_hash() == t2.root_hash()
+
+
+# keys from a 4-symbol alphabet collide on prefixes often, forcing
+# extensions, branch values and one-nibble leaves
+_short_keys = st.binary(min_size=0, max_size=4).map(lambda b: bytes(x % 4 for x in b))
+# values around the 32-byte inline/hash boundary of a node's RLP
+_values = st.binary(min_size=1, max_size=40)
+
+
+@st.composite
+def op_sequences(draw):
+    """A set/delete sequence (``None`` deletes) over a small key space."""
+    return draw(
+        st.lists(st.tuples(_short_keys, st.none() | _values), min_size=0, max_size=40)
+    )
+
+
+class TestBulkBuild:
+    """``MPT.from_items`` builds, and the ref cache hashes, the same trie
+    that incremental ``set`` and the reference encoder do."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.dictionaries(_short_keys, _values, max_size=30) | key_value_dicts())
+    def test_bulk_equals_incremental_and_oracle(self, mapping):
+        bulk = MPT.from_items(mapping.items())
+        one_by_one = incremental(mapping)
+        assert bulk.root_hash() == one_by_one.root_hash() == oracle_root(one_by_one)
+        assert list(bulk.items()) == sorted(mapping.items())
+
+    @settings(max_examples=80, deadline=None)
+    @given(op_sequences())
+    def test_bulk_equals_set_delete_sequence(self, ops):
+        trie, model = MPT(), {}
+        for key, value in ops:
+            if value is None:
+                trie = trie.delete(key)
+                model.pop(key, None)
+            else:
+                trie = trie.set(key, value)
+                model[key] = value
+        bulk = MPT.from_items(model.items())
+        assert bulk.root_hash() == trie.root_hash() == oracle_root(trie)
+
+    def test_later_pair_wins_and_empty_value_is_absent(self):
+        bulk = MPT.from_items([(b"k", b"1"), (b"gone", b"x"), (b"k", b"2"), (b"gone", b"")])
+        assert bulk.root_hash() == MPT().set(b"k", b"2").root_hash()
+        assert MPT.from_items([]).root_hash() == EMPTY_ROOT
+        assert MPT.from_items([(b"k", b"")]).is_empty()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.dictionaries(_short_keys, _values, max_size=30), _short_keys)
+    def test_proofs_verify_against_bulk_tries(self, mapping, probe):
+        bulk = MPT.from_items(mapping.items())
+        one_by_one = incremental(mapping)
+        root = bulk.root_hash()
+        for key, value in mapping.items():
+            proof = prove(bulk, key)
+            assert proof == prove(one_by_one, key)
+            assert verify_proof(root, key, proof) == value
+        assert verify_proof(root, probe, prove(bulk, probe)) == mapping.get(probe)
+
+    def test_secure_bulk_equals_secure_sets(self):
+        items = [(f"acct{i}".encode(), f"data{i}".encode()) for i in range(50)]
+        sequential = SecureMPT()
+        for key, value in items:
+            sequential = sequential.set(key, value)
+        assert SecureMPT.from_items(items).root_hash() == sequential.root_hash()
+
+
+_accounts = st.builds(
+    AccountData,
+    nonce=st.integers(0, 3),
+    balance=st.integers(0, 10**20),
+    code=st.sampled_from([b"", b"\x60\x00", bytes(range(40))]),
+    storage=st.dictionaries(st.integers(0, 2**256 - 1), st.integers(0, 2**256 - 1), max_size=6),
+)
+
+
+def _incremental_genesis(alloc):
+    """The genesis state built by one-at-a-time trie inserts."""
+    account_trie = SecureMPT()
+    storage_roots = {}
+    for address, data in alloc.items():
+        if data.is_empty():
+            continue
+        storage = SecureMPT()
+        for slot, value in data.storage.items():
+            if value:
+                storage = storage.set(slot.to_bytes(32, "big"), rlp_encode(value))
+        storage_roots[address] = storage.root_hash()
+        account_trie = account_trie.set(bytes(address), encode_account(data, storage_roots[address]))
+    return account_trie.root_hash(), storage_roots
+
+
+class TestGenesis:
+    @settings(max_examples=40, deadline=None)
+    @given(st.dictionaries(st.binary(min_size=20, max_size=20).map(Address), _accounts, max_size=12))
+    def test_bulk_genesis_equals_incremental_build(self, alloc):
+        snapshot = genesis_snapshot(alloc)
+        state_root, storage_roots = _incremental_genesis(alloc)
+        assert snapshot.state_root() == state_root
+        for address, root in storage_roots.items():
+            assert snapshot.storage_root(address) == root
+
+    def test_default_universe_genesis_root_is_pinned(self):
+        # regression vector: the root every golden and chain starts from
+        assert build_universe().genesis.state_root().hex() == (
+            "90f0f65580f96820578e1ba68e997eca3e44dec3d2af85ec639d51fc16e486e3"
+        )

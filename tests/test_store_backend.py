@@ -1,6 +1,7 @@
 """DiskStore commit path: manifests, snapshots, compaction, metrics."""
 
 import os
+import zlib
 
 import pytest
 
@@ -14,7 +15,7 @@ from repro.store import (
     encode_header,
     recover,
 )
-from repro.store.blocklog import LOG_MAGIC
+from repro.store.blocklog import LOG_MAGIC, RECORD_HEADER
 
 pytestmark = pytest.mark.store
 
@@ -189,7 +190,7 @@ class TestVerifyWrites:
             tmp_path / "node", small_universe.genesis, snapshot_interval=0
         )
         monkeypatch.setattr(
-            backend_mod, "verify_roundtrip", lambda block: "forced divergence"
+            backend_mod, "verify_roundtrip", lambda block, payload: "forced divergence"
         )
         block, post_state = build_chain(1)[0]
         with pytest.raises(StoreError, match="codec round-trip"):
@@ -198,6 +199,42 @@ class TestVerifyWrites:
         # the block is resident as a sibling, but never became canonical
         assert block.hash in chain
         assert chain.head.number == 0
+        store.close()
+
+    def test_checked_bytes_are_the_appended_bytes(
+        self, tmp_path, small_universe, build_chain, monkeypatch
+    ):
+        """One encode per append: the payload the round-trip check decodes
+        is the payload written to the log."""
+        import repro.store.backend as backend_mod
+        import repro.store.blocklog as blocklog_mod
+
+        chain, store = _open_disk_chain(
+            tmp_path / "node", small_universe.genesis, snapshot_interval=0
+        )
+        encodes, checked = [], []
+        real_encode, real_verify = backend_mod.encode_block, backend_mod.verify_roundtrip
+
+        def encode(block):
+            encodes.append(block.number)
+            return real_encode(block)
+
+        def verify(block, payload):
+            checked.append(payload)
+            return real_verify(block, payload)
+
+        monkeypatch.setattr(backend_mod, "encode_block", encode)
+        monkeypatch.setattr(blocklog_mod, "encode_block", encode)
+        monkeypatch.setattr(backend_mod, "verify_roundtrip", verify)
+        blocks = build_chain(2)
+        for block, post_state in blocks:
+            assert chain.add_block(block, post_state) is True
+        assert encodes == [1, 2]
+        with open(tmp_path / "node" / "blocks.log", "rb") as fh:
+            log = fh.read()
+        records = [RECORD_HEADER.pack(len(p), zlib.crc32(p)) + p for p in checked]
+        assert log.endswith(b"".join(records))
+        assert [b.number for b in store.log.read_all()] == [1, 2]
         store.close()
 
     def test_verify_writes_can_be_disabled(
@@ -212,7 +249,7 @@ class TestVerifyWrites:
             verify_writes=False,
         )
         monkeypatch.setattr(
-            backend_mod, "verify_roundtrip", lambda block: "forced divergence"
+            backend_mod, "verify_roundtrip", lambda block, payload: "forced divergence"
         )
         block, post_state = build_chain(1)[0]
         assert chain.add_block(block, post_state) is True
