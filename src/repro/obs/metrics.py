@@ -13,10 +13,23 @@ Naming convention (see docs/ARCHITECTURE.md): dotted lowercase paths,
 
 from __future__ import annotations
 
+import time
 from bisect import bisect_right
-from typing import Dict, Sequence, Union
+from typing import Any, Dict, Sequence, Union
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "flat_name"]
+__all__ = [
+    "Counter",
+    "Gauge",
+    "Histogram",
+    "MetricsRegistry",
+    "GcPauseRecorder",
+    "GC_PAUSE_US_EDGES",
+    "flat_name",
+]
+
+#: Histogram edges for ``gc.pause_us`` (µs): a young collection takes
+#: tens of µs, a full one over a large heap hundreds of ms.
+GC_PAUSE_US_EDGES = (0.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 
 
 def flat_name(
@@ -226,3 +239,38 @@ class MetricsRegistry:
         """Attach this registry's snapshot to a ``RunStats.extra`` dict."""
         extra["metrics"] = self.snapshot()
         return extra
+
+
+class GcPauseRecorder:
+    """A ``gc.callbacks`` hook that feeds collector pauses into a registry.
+
+    Per generation ``g`` it keeps a ``gc.pause_us.gen.<g>`` histogram and
+    ``gc.collections`` / ``gc.collected`` / ``gc.pause_us_total`` counters
+    (same ``gen.<g>`` suffix).  Every metric is registered here, up
+    front: the callback can fire inside any allocation — a snapshot of
+    this very registry included — so it must only update metrics in
+    place, never add one.
+    """
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self._per_gen = [
+            (
+                registry.histogram("gc.pause_us", GC_PAUSE_US_EDGES, gen=gen),
+                registry.counter("gc.collections", gen=gen),
+                registry.counter("gc.collected", gen=gen),
+                registry.counter("gc.pause_us_total", gen=gen),
+            )
+            for gen in range(3)
+        ]
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: Dict[str, Any]) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        pause_us = (time.perf_counter() - self._started) * 1e6
+        pauses, collections, collected, total = self._per_gen[info["generation"]]
+        pauses.observe(pause_us)
+        collections.inc()
+        collected.inc(info["collected"])
+        total.inc(round(pause_us))

@@ -17,6 +17,7 @@ call frames roll the buffer back.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import partial
 from typing import Any, Dict, List, Tuple
 
 from repro.common.types import Address
@@ -74,14 +75,14 @@ class MultiVersionStore:
         # Base-snapshot reads repeat across every optimistic transaction in
         # a block (hot contracts, funded senders); the snapshot is immutable
         # for the store's lifetime, so a bounded read-through cache is safe.
+        # The loader holds the snapshot, not the store: a bound method
+        # would make store ↔ cache a reference cycle, so every dropped
+        # store would wait for a full collection instead of its refcount.
         self.base_cache: ReadThroughCache[StateKey, Any] = ReadThroughCache(
-            self._load_base, maxsize=8192
+            partial(read_base_value, base), maxsize=8192
         )
 
     # ------------------------------------------------------------------ #
-
-    def _load_base(self, key: StateKey) -> Any:
-        return read_base_value(self.base, key)
 
     def _base_value(self, key: StateKey) -> Any:
         return self.base_cache.get(key)

@@ -281,6 +281,9 @@ class DiskStore:
     def _compact(self, horizon: int, *, ts: float = 0.0) -> None:
         """Keep only records above ``horizon`` in a new-generation log file.
 
+        The surviving records are copied byte for byte
+        (:meth:`BlockLog.compact_into`): no block is decoded or re-encoded.
+
         Crash-safe: the new generation is built in a temp file and
         published with an atomic rename — a crashed earlier attempt at
         the same horizon may have left a partial (possibly torn) file at
@@ -292,10 +295,9 @@ class DiskStore:
         """
         assert self.log is not None
         old_path = self.log.path
-        survivors = [b for _, b in self.log.scan() if b.number > horizon]
         new_name = f"blocks_{horizon:08d}.log"
         new_path = os.path.join(self.data_dir, new_name)
-        new_log = BlockLog.write_new(new_path, survivors, fsync=self.fsync)
+        new_log = self.log.compact_into(new_path, horizon)
         if self.crash is not None:
             # new generation durable, manifest still naming the old one —
             # a retry after this crash must clobber, not extend, new_path

@@ -59,6 +59,40 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
+def _frame(payload: bytes) -> bytes:
+    """One record: length and CRC header, then the payload."""
+    return RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def _publish(
+    path: str, records: List[Tuple[int, bytes]], *, fsync: bool
+) -> List[Tuple[int, int]]:
+    """Atomically replace ``path`` with a log of ``(height, record)`` pairs.
+
+    The records are fully written (and fsynced) to a temp file which is
+    then renamed over ``path`` — any remnant there from a crashed earlier
+    attempt (e.g. a torn, half-written compaction generation) is
+    discarded rather than appended to.  Returns the new file's
+    ``(height, offset)`` index.
+    """
+    tmp_path = path + ".tmp"
+    index: List[Tuple[int, int]] = []
+    offset = len(LOG_MAGIC)
+    with open(tmp_path, "wb") as fh:
+        fh.write(LOG_MAGIC)
+        for height, record in records:
+            fh.write(record)
+            index.append((height, offset))
+            offset += len(record)
+        fh.flush()
+        if fsync:
+            os.fsync(fh.fileno())
+    os.replace(tmp_path, path)
+    if fsync:
+        _fsync_dir(os.path.dirname(path) or ".")
+    return index
+
+
 class BlockLog:
     """Append-only, length-prefixed, checksummed block storage."""
 
@@ -73,6 +107,11 @@ class BlockLog:
         self.fsync = fsync
         self.metrics = metrics
         fresh = not os.path.exists(path)
+        #: ``(height, offset)`` of every record in file order, kept by
+        #: appends, rewrites and full scans so compaction can pick its
+        #: survivors without decoding a block; ``None`` while unknown (an
+        #: existing file not yet scanned)
+        self._index: Optional[List[Tuple[int, int]]] = [] if fresh else None
         self._fh: Optional[io.BufferedRandom] = open(  # noqa: SIM115 - long-lived
             path, "a+b"
         )
@@ -85,33 +124,6 @@ class BlockLog:
         else:
             self._check_magic()
         self._fh.seek(0, os.SEEK_END)
-
-    @classmethod
-    def write_new(
-        cls, path: str, blocks: List[Block], *, fsync: bool = True
-    ) -> "BlockLog":
-        """Create a log at ``path`` holding exactly ``blocks``, atomically.
-
-        The records are fully written (and fsynced) to a temp file which
-        is then renamed over ``path`` — any remnant there from a crashed
-        earlier attempt (e.g. a torn, half-written compaction generation)
-        is discarded rather than appended to.  Returns the opened log.
-        """
-        tmp_path = path + ".tmp"
-        with open(tmp_path, "wb") as fh:
-            fh.write(LOG_MAGIC)
-            for block in blocks:
-                payload = encode_block(block)
-                fh.write(
-                    RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-                )
-            fh.flush()
-            if fsync:
-                os.fsync(fh.fileno())
-        os.replace(tmp_path, path)
-        if fsync:
-            _fsync_dir(os.path.dirname(path) or ".")
-        return cls(path, fsync=fsync)
 
     def _check_magic(self) -> None:
         assert self._fh is not None
@@ -157,10 +169,12 @@ class BlockLog:
         started = time.perf_counter() if metrics is not None else 0.0
         if payload is None:
             payload = encode_block(block)
-        record = RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+        record = _frame(payload)
         offset = self._fh.seek(0, os.SEEK_END)
         if tear_after is not None:
             record = record[: max(0, min(tear_after, len(record) - 1))]
+        elif self._index is not None:
+            self._index.append((block.number, offset))
         self._fh.write(record)
         self._fh.flush()
         if self.fsync:
@@ -187,6 +201,8 @@ class BlockLog:
         if self.fsync:
             os.fsync(self._fh.fileno())
         self._fh.seek(0, os.SEEK_END)
+        if self._index is not None:
+            self._index = [(h, o) for h, o in self._index if o < offset]
 
     def close(self) -> None:
         if self._fh is not None:
@@ -208,7 +224,9 @@ class BlockLog:
 
         Raises :class:`TornTailError` when the final record is incomplete
         or checksum-broken (carries the offset to truncate back to), and
-        :class:`BlockLogCorruptError` for damage anywhere earlier.
+        :class:`BlockLogCorruptError` for damage anywhere earlier.  A full
+        scan (``start`` 0) that reaches the end also records the log's
+        ``(height, offset)`` index.
         """
         assert self._fh is not None
         self._fh.flush()
@@ -219,6 +237,9 @@ class BlockLog:
                 f"bad log magic in {self.path}", offset=0
             )
         pos = max(start, len(LOG_MAGIC))
+        index: Optional[List[Tuple[int, int]]] = (
+            [] if pos == len(LOG_MAGIC) else None
+        )
         end = len(data)
         while pos < end:
             record_start = pos
@@ -254,7 +275,11 @@ class BlockLog:
                 raise BlockLogCorruptError(
                     f"record does not decode: {exc}", offset=record_start
                 ) from exc
+            if index is not None:
+                index.append((block.number, record_start))
             yield record_start, block
+        if index is not None:
+            self._index = index
 
     def read_all(self) -> List[Block]:
         """Every intact block in append order (strict: any tail damage raises)."""
@@ -264,29 +289,57 @@ class BlockLog:
     # compaction
     # ------------------------------------------------------------------ #
 
+    def compact_into(self, path: str, horizon: int) -> "BlockLog":
+        """Publish the records above ``horizon`` as a new log at ``path``.
+
+        Survivors are copied as framed bytes, each CRC re-checked, and
+        never decoded or re-encoded; the new file is written to a temp
+        file and renamed into place (see :func:`_publish`).  Returns the
+        opened new log.
+        """
+        assert self._fh is not None
+        if self._index is None:
+            for _ in self.scan():  # a full scan seeds the index
+                pass
+        assert self._index is not None
+        self._fh.flush()
+        survivors = [
+            (height, self._read_record(offset))
+            for height, offset in self._index
+            if height > horizon
+        ]
+        index = _publish(path, survivors, fsync=self.fsync)
+        log = BlockLog(path, fsync=self.fsync)
+        log._index = index
+        return log
+
+    def _read_record(self, offset: int) -> bytes:
+        """The framed record at ``offset``, its CRC re-checked."""
+        assert self._fh is not None
+        fd = self._fh.fileno()
+        header = os.pread(fd, RECORD_HEADER.size, offset)
+        if len(header) == RECORD_HEADER.size:
+            length, crc = RECORD_HEADER.unpack(header)
+            payload = os.pread(fd, length, offset + RECORD_HEADER.size)
+            if len(payload) == length and zlib.crc32(payload) == crc:
+                return header + payload
+        raise BlockLogCorruptError(
+            "record fails checksum during compaction", offset=offset
+        )
+
     def rewrite(self, blocks: List[Block]) -> int:
         """Atomically replace the log's contents with ``blocks``.
 
-        Used by compaction: the surviving tail is written to a temp file,
-        fsynced, and renamed over the live log, so a crash leaves either
-        the old log or the new one — never a half-compacted hybrid.
-        Returns the new file size.
+        The records go to a temp file, fsynced, and renamed over the live
+        log, so a crash leaves either the old log or the new one — never a
+        hybrid.  Returns the new file size.
         """
-        tmp_path = self.path + ".tmp"
-        with open(tmp_path, "wb") as fh:
-            fh.write(LOG_MAGIC)
-            for block in blocks:
-                payload = encode_block(block)
-                fh.write(
-                    RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-                )
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
         if self._fh is not None:
             self._fh.close()
-        os.replace(tmp_path, self.path)
-        if self.fsync:
-            _fsync_dir(os.path.dirname(self.path) or ".")
+        self._index = _publish(
+            self.path,
+            [(block.number, _frame(encode_block(block))) for block in blocks],
+            fsync=self.fsync,
+        )
         self._fh = open(self.path, "a+b")
         return self._fh.seek(0, os.SEEK_END)

@@ -128,9 +128,12 @@ class Manifest:
         body["checksum"] = self._checksum(self._body())
         path = manifest_path(data_dir)
         tmp = path + ".tmp"
+        # one json.dumps, no indent: that stays on the C encoder, where
+        # json.dump (or any indent) takes the pure-Python one, whose
+        # closures leave reference cycles behind on every block's write
+        text = json.dumps(body, sort_keys=True)
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(body, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
             fh.flush()
             if fsync:
                 os.fsync(fh.fileno())

@@ -35,6 +35,7 @@ to exit code 130 and SIGTERM/target-reached to 0.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import os
 import signal
 import sys
@@ -44,7 +45,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.network.node import ProposerNode, ValidatorNode
 from repro.obs.live import LiveConfig, LiveTelemetry
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import GcPauseRecorder, MetricsRegistry
 from repro.store import open_store
 from repro.store.backend import DiskStore
 from repro.store.errors import ConfigMismatchError, StoreError
@@ -276,10 +277,32 @@ class NodeService:
     # ------------------------------------------------------------------ #
 
     def run(self, *, handle_signals: bool = True) -> ServeReport:
-        cfg = self.config
+        """Serve until the target height or a stop signal; see module docs.
+
+        Collector hygiene: the loop's steady state makes no cyclic
+        garbage, so committed history is moved out of the cyclic
+        collector's view with ``gc.freeze()`` — once after set-up and
+        once per accepted block — and full collections stop re-walking
+        the whole chain.  Frozen objects are still freed by reference
+        counting.  Every exit path unfreezes again and removes the
+        ``gc.callbacks`` pause recorder that a metrics registry gets.
+        """
         if handle_signals:
             self.install_signal_handlers()
+        gc_hook = GcPauseRecorder(self.metrics) if self.metrics is not None else None
+        if gc_hook is not None:
+            gc.callbacks.append(gc_hook)
+        try:
+            return self._serve()
+        finally:
+            gc.unfreeze()
+            if gc_hook is not None:
+                gc.callbacks.remove(gc_hook)
+            if handle_signals:
+                self.restore_signal_handlers()
 
+    def _serve(self) -> ServeReport:
+        cfg = self.config
         if cfg.scenario:
             stream = get_scenario(
                 cfg.scenario, seed=cfg.seed, txs_per_block=cfg.txs_per_block
@@ -354,6 +377,7 @@ class NodeService:
         sealed_ok = False
         started = time.perf_counter()
         metrics = self.metrics
+        gc.freeze()  # the universe, the recovered chain, the nodes
         try:
             while not self.stopping:
                 if cfg.max_height and chain.height() >= cfg.max_height:
@@ -376,6 +400,8 @@ class NodeService:
                         f"own proposal at height {head.number + 1} rejected: "
                         f"{failure.reason.value if failure else 'unknown'}"
                     )
+                # durably committed: this block's state is history now
+                gc.freeze()
                 produced += 1
                 if telemetry is not None:
                     new_head = chain.head
@@ -424,8 +450,6 @@ class NodeService:
                 telemetry.close()
             validator.pipeline.close()
             store.close()
-            if handle_signals:
-                self.restore_signal_handlers()
 
         head = chain.head
         report = ServeReport(

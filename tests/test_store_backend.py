@@ -12,10 +12,13 @@ from repro.store import (
     Manifest,
     MemoryStore,
     StoreError,
+    encode_block,
     encode_header,
+    open_store,
     recover,
 )
 from repro.store.blocklog import LOG_MAGIC, RECORD_HEADER
+from repro.store.errors import BlockLogCorruptError
 
 pytestmark = pytest.mark.store
 
@@ -161,6 +164,76 @@ class TestCompaction:
         result = recover(str(tmp_path / "node"), small_universe.genesis)
         assert result.chain.height() == 3
         assert result.chain.head.hash == pairs[2][0].hash
+
+    @staticmethod
+    def _no_codec(monkeypatch):
+        import repro.store.blocklog as blocklog_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compaction must not decode or re-encode")
+
+        monkeypatch.setattr(blocklog_mod, "decode_block", refuse)
+        monkeypatch.setattr(blocklog_mod, "encode_block", refuse)
+
+    def test_survivors_are_copied_verbatim(
+        self, tmp_path, small_universe, build_chain, monkeypatch
+    ):
+        """A horizon below the head keeps records; the new generation is
+        the old log's framed bytes for them, with no codec call."""
+        node = tmp_path / "node"
+        chain, store = _open_disk_chain(node, small_universe.genesis, snapshot_interval=0)
+        pairs = build_chain(6)
+        for block, post_state in pairs[:5]:
+            chain.add_block(block, post_state)
+        old_bytes = (node / "blocks.log").read_bytes()
+        survivors = b"".join(
+            RECORD_HEADER.pack(len(p), zlib.crc32(p)) + p
+            for p in (encode_block(b) for b, _ in pairs[3:5])
+        )
+        assert old_bytes.endswith(survivors)
+        self._no_codec(monkeypatch)
+        store._compact(3)
+        monkeypatch.undo()
+        assert (node / "blocks_00000003.log").read_bytes() == LOG_MAGIC + survivors
+        assert not (node / "blocks.log").exists()
+        assert Manifest.load(str(node)).log_start_height == 4
+        assert [b.number for b in store.log.read_all()] == [4, 5]
+        # the new generation keeps taking appends and compacting
+        chain.add_block(*pairs[5])
+        store._compact(4)
+        assert [b.number for b in store.log.read_all()] == [5, 6]
+        store.close()
+
+    def test_restart_seeds_the_record_index(
+        self, tmp_path, small_universe, build_chain, monkeypatch
+    ):
+        node = tmp_path / "node"
+        chain, store = _open_disk_chain(node, small_universe.genesis, snapshot_interval=0)
+        for block, post_state in build_chain(4):
+            chain.add_block(block, post_state)
+        store.close()
+        chain, store, _ = open_store(
+            str(node), small_universe.genesis, snapshot_interval=0, fsync=False
+        )
+        self._no_codec(monkeypatch)
+        store._compact(2)
+        monkeypatch.undo()
+        assert [b.number for b in store.log.read_all()] == [3, 4]
+        store.close()
+
+    def test_corrupt_survivor_refused(self, tmp_path, small_universe, build_chain):
+        node = tmp_path / "node"
+        chain, store = _open_disk_chain(node, small_universe.genesis, snapshot_interval=0)
+        for block, post_state in build_chain(3):
+            chain.add_block(block, post_state)
+        with open(node / "blocks.log", "r+b") as fh:
+            fh.seek(-1, os.SEEK_END)
+            last = fh.read(1)
+            fh.seek(-1, os.SEEK_END)
+            fh.write(bytes([last[0] ^ 0xFF]))
+        with pytest.raises(BlockLogCorruptError):
+            store._compact(1)
+        store.close()
 
     def test_compaction_disabled_keeps_full_log(
         self, tmp_path, small_universe, build_chain
